@@ -19,6 +19,7 @@ mkdir -p "$build/tmp"
 export GOCACHE="$build/gocache"
 export GOPATH="$build/gopath"
 export GOTMPDIR="$build/tmp"
+export GOENV=off
 export GOTOOLCHAIN=local
 export GOPROXY=off
 export GOFLAGS=-mod=mod
