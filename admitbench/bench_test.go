@@ -207,6 +207,31 @@ func TestFitSLO(t *testing.T) {
 	}
 }
 
+func TestSLOSearchStaysInBracket(t *testing.T) {
+	// A stall makes the 100/s probe read 40 ms, so a fit over the probes
+	// near the limit falls with rate; the estimate must still lie between
+	// the highest passing and the lowest failing probe.
+	p99At := func(rate float64) float64 {
+		switch {
+		case rate < 150:
+			return 40
+		case rate < 320:
+			return 30
+		}
+		return 120
+	}
+	try := func(_ int, rate float64) probe {
+		p := probe{nominal: rate, rate: rate, p99: p99At(rate)}
+		p.pass = p.p99 <= 100
+		return p
+	}
+	rp := &report{res: result{Metrics: map[string]metric{}}}
+	got := sloSearch(rp, try(0, 50), try)
+	if got < 300 || got > 330 {
+		t.Errorf("slo rate %v, want inside the 300..330/s bracket", got)
+	}
+}
+
 func TestBacklogGrowth(t *testing.T) {
 	if backlogGrows([4]float64{1, 1.2, 1.1, 1.3}, 2) {
 		t.Error("flat backlog reported as growing")

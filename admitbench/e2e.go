@@ -266,8 +266,10 @@ func runProbe(rp *report, st *stack, chk *checker, w *workload, in *inputs, call
 // rampFactor until one probe passes and one fails, then bisects the
 // bracket geometrically. Pass and fail are noisy right at the limit, so
 // the estimate is where a log-linear fit of p99 over every completed
-// probe near the limit crosses it (see fitSLO), capped below any probe
-// that failed on errors or backlog rather than latency.
+// probe near the limit crosses it (see fitSLO), kept inside the final
+// bracket (a stall in one short probe can tilt the fit far outside it)
+// and capped below any probe that failed on errors or backlog rather
+// than latency.
 func sloSearch(rp *report, first probe, try func(i int, rate float64) probe) float64 {
 	rp.printf("slo_rate_per_s search (admit p99 <= %v, zero errors, no growing backlog):", sloLimit)
 	rp.printf("  probe 0: offered %.1f/s (the fixed-rate phase): %s", first.rate, first.why)
@@ -320,6 +322,7 @@ func sloSearch(rp *report, first probe, try func(i int, rate float64) probe) flo
 		est = lo.rate
 		rp.printf("  too few probes near the limit to fit; reporting the highest passing rate")
 	}
+	est = math.Min(math.Max(est, math.Min(lo.rate, hi.rate)), math.Max(lo.rate, hi.rate))
 	est = math.Min(est, ceiling)
 	rp.printf("  bracket %.1f/s (p99 %.2f ms) .. %.1f/s (p99 %.2f ms); fit over %d probes near the limit: %.1f/s",
 		lo.rate, lo.p99, hi.rate, hi.p99, n, est)
